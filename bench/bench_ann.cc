@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
       q_invs[i] = sq > 0.0 ? 1.0 / std::sqrt(sq) : 0.0;
     }
 
-    ann::HnswConfig cfg = ann::ConfigFromEnv();
+    ann::HnswConfig cfg;
     cfg.seed = b.seed();
     ann::HnswIndex index(dim, cfg);
     std::vector<const float*> rows;

@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
     // graph. Candidates are a recall set — no rescoring — so this gates
     // that quantized retrieval keeps pair-completeness.
     {
-      ann::HnswConfig qcfg = ann::ConfigFromEnv();
+      ann::HnswConfig qcfg;
       qcfg.quant = nn::kernels::Quant::kInt8;
       er::AnnBlocker knn(10, qcfg);
       auto cands = knn.Candidates(lv, rv);

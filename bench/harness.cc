@@ -3,8 +3,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "src/common/env.h"
+#include "src/common/json_parse.h"
 #include "src/common/parallel.h"
 #include "src/nn/kernels.h"
 #include "src/obs/export.h"
@@ -76,6 +78,30 @@ bool ParseCount(const char* text, uint64_t* out) {
   return true;
 }
 
+/// The hand-written "tolerances" object of the results file already at
+/// `path`, re-serialized; empty when there is none. Regenerating a
+/// baseline with --out keeps it, so its gates never loosen silently.
+std::string KeptTolerances(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return "";
+  std::stringstream text;
+  text << in.rdbuf();
+  Result<JsonValue> doc = ParseJson(text.str());
+  if (!doc.ok()) {
+    std::fprintf(stderr, "warning: '%s' is not valid JSON (%s); its "
+                 "tolerances are not kept\n", path.c_str(),
+                 doc.status().message().c_str());
+    return "";
+  }
+  const JsonValue* tolerances = doc.ValueOrDie().Find("tolerances");
+  if (tolerances == nullptr || !tolerances->is_object()) return "";
+  JsonObject kept;
+  for (const auto& [metric, band] : tolerances->object) {
+    if (band.is_number()) kept.Set(metric, band.number_value);
+  }
+  return kept.str();
+}
+
 bool WriteResultsFile(const Bench& bench, const BenchSpec& spec,
                       const JsonObject& envelope, const std::string& dir) {
   std::error_code ec;
@@ -96,6 +122,8 @@ bool WriteResultsFile(const Bench& bench, const BenchSpec& spec,
   doc.SetRaw("results", rows)
       .SetRaw("obs",
               obs::FormatJson(obs::MetricsRegistry::Global().Snapshot()));
+  std::string tolerances = KeptTolerances(path);
+  if (!tolerances.empty()) doc.SetRaw("tolerances", tolerances);
   std::ofstream out(path, std::ios::trunc);
   if (!out) {
     std::fprintf(stderr, "bench_%s: cannot write '%s'\n", spec.name.c_str(),

@@ -16,7 +16,8 @@
 //                  picks, usually 42)
 //   --quick        shrink problem sizes (CI gate config)
 //   --out DIR      write DIR/BENCH_<name>.json with every Report() row,
-//                  the run envelope, and the final obs metrics snapshot
+//                  the run envelope, and the final obs metrics snapshot;
+//                  a "tolerances" object in the file it replaces is kept
 //   --help         print usage
 //
 // Every Report() prints one `RESULT_JSON {...}` envelope line:

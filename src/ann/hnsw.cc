@@ -5,7 +5,6 @@
 #include <cmath>
 #include <queue>
 
-#include "src/common/env.h"
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/nn/kernels.h"
@@ -47,19 +46,6 @@ thread_local std::vector<std::int8_t> t_query_q8;
 thread_local std::vector<std::uint16_t> t_query_bf16;
 
 }  // namespace
-
-HnswConfig ConfigFromEnv() {
-  HnswConfig config;
-  config.M = EnvSizeT("AUTODC_ANN_M", config.M, 2, 256);
-  config.ef_construction = EnvSizeT("AUTODC_ANN_EF_CONSTRUCTION",
-                                    config.ef_construction, 1, 1 << 20);
-  config.ef_search =
-      EnvSizeT("AUTODC_ANN_EF_SEARCH", config.ef_search, 1, 1 << 20);
-  config.quant = nn::kernels::QuantFromEnv();
-  return config;
-}
-
-bool AnnEnvEnabled() { return EnvFlag("AUTODC_ANN", false); }
 
 HnswIndex::HnswIndex(size_t dim, const HnswConfig& config)
     : dim_(dim), config_(config) {

@@ -49,16 +49,6 @@ struct HnswConfig {
   nn::kernels::Quant quant = nn::kernels::Quant::kFp32;
 };
 
-/// HnswConfig with M / ef_construction / ef_search overridden by
-/// AUTODC_ANN_M / AUTODC_ANN_EF_CONSTRUCTION / AUTODC_ANN_EF_SEARCH
-/// (range-checked; out-of-range values warn and keep the default, per
-/// the env.h contract), and quant by AUTODC_EMB_QUANT.
-HnswConfig ConfigFromEnv();
-
-/// True when AUTODC_ANN requests the index path (flag semantics of
-/// EnvFlag; unset/empty means off — exact scans stay the default).
-bool AnnEnvEnabled();
-
 /// One search hit: row id in insertion order plus cosine similarity.
 struct ScoredId {
   size_t id = 0;

@@ -5,8 +5,6 @@
 #include <unordered_map>
 
 #include "src/nn/kernels.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/text/similarity.h"
 #include "src/text/tokenizer.h"
 
@@ -56,23 +54,6 @@ void TableSearchEngine::Index(const std::vector<const data::Table*>& tables) {
     table_norms_sq_.push_back(nn::kernels::SumSqF32(v.data(), v.size()));
     table_tfidf_.push_back(tfidf_.Transform(doc));
   }
-  ann_.reset();
-  size_t dim = words_->dim();
-  if (config_.use_ann && dim > 0 &&
-      table_vectors_.size() >= config_.ann_min_tables) {
-    AUTODC_OBS_SPAN(index_span, "search.ann_index");
-    ann_ = std::make_unique<ann::HnswIndex>(dim, config_.ann_config);
-    std::vector<const float*> rows;
-    rows.reserve(table_vectors_.size());
-    // Odd-width vectors (dim-0 store rows, schema glitches) get a zero
-    // row so index ids stay aligned with table positions; they score 0
-    // everywhere, matching the exact path's mismatch handling.
-    std::vector<float> zero(dim, 0.0f);
-    for (const std::vector<float>& v : table_vectors_) {
-      rows.push_back(v.size() == dim ? v.data() : zero.data());
-    }
-    ann_->Build(rows);
-  }
 }
 
 std::vector<SearchResult> TableSearchEngine::Search(
@@ -99,21 +80,8 @@ std::vector<SearchResult> TableSearchEngine::Search(
   };
 
   std::vector<SearchResult> out;
-  if (ann_ && qnorm_sq > 0.0 && qvec.size() == ann_->dim()) {
-    // Sub-linear path: neural top candidates from the graph, lexical
-    // scored only on those. Over-fetch so a table whose hybrid score is
-    // carried by the lexical term still has a seat at the table.
-    size_t fetch = std::min(table_names_.size(),
-                            std::max(config_.top_k * config_.ann_overfetch,
-                                     config_.top_k));
-    AUTODC_OBS_COUNT("search.ann_queries", 1);
-    for (const ann::ScoredId& hit : ann_->Search(qvec.data(), fetch)) {
-      out.push_back(score_table(hit.id));
-    }
-  } else {
-    for (size_t i = 0; i < table_names_.size(); ++i) {
-      out.push_back(score_table(i));
-    }
+  for (size_t i = 0; i < table_names_.size(); ++i) {
+    out.push_back(score_table(i));
   }
   std::sort(out.begin(), out.end(),
             [](const SearchResult& a, const SearchResult& b) {

@@ -1,11 +1,9 @@
 #ifndef AUTODC_DISCOVERY_SEARCH_H_
 #define AUTODC_DISCOVERY_SEARCH_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "src/ann/hnsw.h"
 #include "src/data/table.h"
 #include "src/discovery/ekg.h"
 #include "src/embedding/embedding_store.h"
@@ -24,22 +22,6 @@ struct SearchConfig {
   /// cosine) ranking signals, as in hybrid neural IR (Sec. 5.1).
   double neural_weight = 0.6;
   size_t top_k = 5;
-  /// Sub-linear mode (defaults to the AUTODC_ANN env switch): Index()
-  /// additionally builds an HNSW index over the table vectors, and
-  /// Search() retrieves top_k * ann_overfetch candidates by neural
-  /// similarity, scoring the lexical signal only on those instead of
-  /// every indexed table. Approximate: a table ranked purely by its
-  /// tf-idf match can drop out; the exact scan remains the default.
-  bool use_ann = ann::AnnEnvEnabled();
-  /// Lakes smaller than this always take the exact scan.
-  size_t ann_min_tables = 64;
-  size_t ann_overfetch = 4;
-  /// Graph parameters for the ANN index (M / ef_* / quant). Defaults
-  /// pick up AUTODC_ANN_M, AUTODC_ANN_EF_CONSTRUCTION,
-  /// AUTODC_ANN_EF_SEARCH and AUTODC_EMB_QUANT from the environment;
-  /// candidates are re-scored by the hybrid ranker either way, so a
-  /// quantized index only affects which tables make the shortlist.
-  ann::HnswConfig ann_config = ann::ConfigFromEnv();
 };
 
 /// The "Google-style search engine over the enterprise's relations" of
@@ -77,9 +59,6 @@ class TableSearchEngine {
   std::vector<double> table_norms_sq_;
   std::vector<std::unordered_map<size_t, double>> table_tfidf_;
   text::TfIdf tfidf_;
-  /// Built by Index() in ANN mode over table_vectors_ (ids == table
-  /// positions); null in exact mode. Makes the engine move-only.
-  std::unique_ptr<ann::HnswIndex> ann_;
 };
 
 }  // namespace autodc::discovery

@@ -1,13 +1,9 @@
 #include "src/discovery/semantic_matcher.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
-#include "src/common/parallel.h"
 #include "src/nn/kernels.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/text/similarity.h"
 #include "src/text/tokenizer.h"
 
@@ -130,87 +126,11 @@ std::vector<ColumnMatch> SemanticColumnMatcher::MatchColumns(
 
 std::vector<ColumnMatch> SemanticColumnMatcher::MatchLake(
     const std::vector<const data::Table*>& tables) const {
-  struct ColRef {
-    size_t table;
-    size_t col;
-  };
-  std::vector<ColRef> cols;
-  for (size_t i = 0; i < tables.size(); ++i) {
-    for (size_t c = 0; c < tables[i]->num_columns(); ++c) {
-      cols.push_back(ColRef{i, c});
-    }
-  }
-
   std::vector<ColumnMatch> out;
-  size_t dim = words_->dim();
-  if (!config_.use_ann || dim == 0 || cols.size() < config_.ann_min_columns) {
-    for (size_t i = 0; i < tables.size(); ++i) {
-      for (size_t j = i + 1; j < tables.size(); ++j) {
-        std::vector<ColumnMatch> pair = MatchColumns(*tables[i], *tables[j]);
-        out.insert(out.end(), pair.begin(), pair.end());
-      }
-    }
-  } else {
-    AUTODC_OBS_SPAN(lake_span, "matcher.ann_lake");
-    // One centroid per column: the mean embedding of its name tokens
-    // plus sampled value tokens — a cheap proxy for the group
-    // similarities ScorePair computes, good enough to propose
-    // neighbours. Centroids are independent, so they fill in parallel.
-    std::vector<std::vector<float>> centroids(cols.size());
-    ParallelFor(0, cols.size(), 4, [&](size_t b, size_t e) {
-      for (size_t idx = b; idx < e; ++idx) {
-        const data::Table& t = *tables[cols[idx].table];
-        std::vector<std::string> toks = NameGroup(t, cols[idx].col);
-        if (!IsNumericColumn(t, cols[idx].col)) {
-          for (std::string& v :
-               ValueGroup(t, cols[idx].col, config_.max_values_per_column)) {
-            toks.push_back(std::move(v));
-          }
-        }
-        centroids[idx] = words_->AverageOf(toks);
-      }
-    });
-    ann::HnswIndex index(dim, config_.ann_config);
-    std::vector<const float*> rows;
-    rows.reserve(cols.size());
-    std::vector<float> zero(dim, 0.0f);
-    for (const std::vector<float>& c : centroids) {
-      rows.push_back(c.size() == dim ? c.data() : zero.data());
-    }
-    index.Build(rows);
-    // Every column proposes its nearest columns; cross-table hits become
-    // candidate pairs. Queries are read-only and run in parallel with
-    // per-column slots; the ordered-set merge canonicalizes each pair to
-    // (smaller table index first) and dedupes the two directions.
-    size_t fetch = config_.ann_candidates + 1;  // the query column returns
-                                                // itself; fetch one extra
-    std::vector<std::vector<size_t>> hits(cols.size());
-    ParallelFor(0, cols.size(), 8, [&](size_t b, size_t e) {
-      for (size_t idx = b; idx < e; ++idx) {
-        for (const ann::ScoredId& hit : index.Search(rows[idx], fetch)) {
-          if (hit.id != idx) hits[idx].push_back(hit.id);
-        }
-      }
-    });
-    std::set<std::pair<size_t, size_t>> pairs;
-    for (size_t idx = 0; idx < cols.size(); ++idx) {
-      for (size_t other : hits[idx]) {
-        size_t a = idx;
-        size_t b = other;
-        if (cols[a].table == cols[b].table) continue;
-        if (cols[a].table > cols[b].table) std::swap(a, b);
-        pairs.insert({a, b});
-      }
-    }
-    AUTODC_OBS_COUNT("matcher.ann_pairs", pairs.size());
-    for (const auto& [a, b] : pairs) {
-      const data::Table& ta = *tables[cols[a].table];
-      const data::Table& tb = *tables[cols[b].table];
-      double score = ScorePair(ta, cols[a].col, tb, cols[b].col);
-      if (score < config_.min_score) continue;
-      out.push_back(ColumnMatch{ta.name(), ta.schema().column(cols[a].col).name,
-                                tb.name(), tb.schema().column(cols[b].col).name,
-                                score});
+  for (size_t i = 0; i < tables.size(); ++i) {
+    for (size_t j = i + 1; j < tables.size(); ++j) {
+      std::vector<ColumnMatch> pair = MatchColumns(*tables[i], *tables[j]);
+      out.insert(out.end(), pair.begin(), pair.end());
     }
   }
   std::sort(out.begin(), out.end(),

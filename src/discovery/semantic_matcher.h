@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "src/ann/hnsw.h"
 #include "src/data/table.h"
 #include "src/embedding/embedding_store.h"
 
@@ -46,25 +45,6 @@ struct SemanticMatcherConfig {
   size_t max_values_per_column = 30;
   /// Pairs scoring below this are not reported.
   double min_score = 0.0;
-  /// Sub-quadratic MatchLake (defaults to the AUTODC_ANN env switch):
-  /// each column gets a centroid embedding (mean of its name + sampled
-  /// value tokens), an HNSW index over the centroids proposes
-  /// `ann_candidates` similar columns per column, and only those
-  /// cross-table pairs are scored exactly. Approximate: a pair whose
-  /// centroids are far apart but whose best-match value similarity is
-  /// high can be missed; the exact O(C^2) sweep stays the default.
-  bool use_ann = ann::AnnEnvEnabled();
-  /// Lakes with fewer total columns than this always take the exact
-  /// cross product.
-  size_t ann_min_columns = 64;
-  /// Neighbour columns retrieved per column in ANN mode.
-  size_t ann_candidates = 8;
-  /// Graph parameters for the centroid index (M / ef_* / quant).
-  /// Defaults pick up AUTODC_ANN_M, AUTODC_ANN_EF_CONSTRUCTION,
-  /// AUTODC_ANN_EF_SEARCH and AUTODC_EMB_QUANT; proposed pairs are
-  /// always scored exactly afterwards, so a quantized index only
-  /// affects candidate proposal.
-  ann::HnswConfig ann_config = ann::ConfigFromEnv();
 };
 
 /// The embedding-based semantic matcher: scores every cross-table column

@@ -16,20 +16,10 @@ namespace autodc::embedding {
 
 namespace {
 
-// Stores below this size never take the AUTODC_ANN lazy path: the exact
-// scan is already microseconds there and stays the recall-1.0 baseline.
-constexpr size_t kAnnAutoMinSize = 1024;
 // The exact scan goes wide once a single thread would chew through this
 // many rows; the grain keeps per-chunk top-k merge cost negligible.
 constexpr size_t kParallelScanMin = 8192;
 constexpr size_t kParallelScanGrain = 4096;
-
-/// Serializes lazy index builds (a const-path side effect). Only the
-/// build takes this lock; ready indexes are read lock-free.
-std::mutex& AnnBuildMutex() {
-  static std::mutex mu;
-  return mu;
-}
 
 /// Top-k selector over (similarity, row id) with a total order — higher
 /// similarity wins, lower id on ties — so results are deterministic for
@@ -83,9 +73,10 @@ struct EmbeddingStore::AnnState {
   bool stale = false;
 };
 
-EmbeddingStore::~EmbeddingStore() {
-  delete ann_.load(std::memory_order_acquire);
-}
+EmbeddingStore::EmbeddingStore(size_t dim, nn::kernels::Quant quant)
+    : dim_(dim), quant_(quant) {}
+
+EmbeddingStore::~EmbeddingStore() = default;
 
 EmbeddingStore::EmbeddingStore(const EmbeddingStore& other)
     : dim_(other.dim_),
@@ -98,8 +89,8 @@ EmbeddingStore::EmbeddingStore(const EmbeddingStore& other)
       q8_sums_(other.q8_sums_),
       bf16_data_(other.bf16_data_),
       norms_sq_(other.norms_sq_) {
-  // The dequant cache is not copied: it rebuilds on demand like the ANN
-  // index.
+  // Neither the dequant cache (it refills on demand) nor the ANN index
+  // is copied.
 }
 
 EmbeddingStore& EmbeddingStore::operator=(const EmbeddingStore& other) {
@@ -118,7 +109,7 @@ EmbeddingStore& EmbeddingStore::operator=(const EmbeddingStore& other) {
     std::lock_guard<std::mutex> lock(dequant_mu_);
     dequant_cache_.clear();
   }
-  delete ann_.exchange(nullptr, std::memory_order_acq_rel);
+  ann_.reset();
   return *this;
 }
 
@@ -133,9 +124,8 @@ EmbeddingStore::EmbeddingStore(EmbeddingStore&& other) noexcept
       q8_sums_(std::move(other.q8_sums_)),
       bf16_data_(std::move(other.bf16_data_)),
       norms_sq_(std::move(other.norms_sq_)),
-      dequant_cache_(std::move(other.dequant_cache_)) {
-  ann_.store(other.ann_.exchange(nullptr), std::memory_order_release);
-}
+      dequant_cache_(std::move(other.dequant_cache_)),
+      ann_(std::move(other.ann_)) {}
 
 EmbeddingStore& EmbeddingStore::operator=(EmbeddingStore&& other) noexcept {
   if (this == &other) return *this;
@@ -153,8 +143,7 @@ EmbeddingStore& EmbeddingStore::operator=(EmbeddingStore&& other) noexcept {
     std::lock_guard<std::mutex> lock(dequant_mu_);
     dequant_cache_ = std::move(other.dequant_cache_);
   }
-  delete ann_.exchange(other.ann_.exchange(nullptr),
-                       std::memory_order_acq_rel);
+  ann_ = std::move(other.ann_);
   return *this;
 }
 
@@ -184,7 +173,7 @@ Status EmbeddingStore::Add(const std::string& key, std::vector<float> vector) {
     }
     // The graph still points at the old geometry; exact fallback until
     // the owner rebuilds.
-    if (AnnState* st = ann_.load(std::memory_order_acquire)) st->stale = true;
+    if (ann_) ann_->stale = true;
     return Status::OK();
   }
   size_t id = keys_.size();
@@ -196,18 +185,16 @@ Status EmbeddingStore::Add(const std::string& key, std::vector<float> vector) {
   } else {
     norms_sq_.push_back(WriteQuantRow(id, vector.data()));
   }
-  if (AnnState* st = ann_.load(std::memory_order_acquire)) {
+  if (ann_ && !ann_->stale) {
     // Streaming path: new keys index as they arrive (row id == index id).
     // The index re-quantizes from fp32, so quantized stores hand it the
     // dequantized row (same values the store itself scores against).
-    if (!st->stale) {
-      if (fp32) {
-        st->index->Add(vectors_.back().data());
-      } else {
-        scratch_.resize(dim_);
-        RowToF32(id, scratch_.data());
-        st->index->Add(scratch_.data());
-      }
+    if (fp32) {
+      ann_->index->Add(vectors_.back().data());
+    } else {
+      scratch_.resize(dim_);
+      RowToF32(id, scratch_.data());
+      ann_->index->Add(scratch_.data());
     }
   }
   return Status::OK();
@@ -420,12 +407,11 @@ std::vector<Neighbor> EmbeddingStore::AnnNearest(
   double query_norm_sq = nn::kernels::SumSqF32(query.data(), query.size());
   if (query_norm_sq <= 0.0) return ExactNearest(query, k, exclude_ids);
 
-  const AnnState* st = ann_.load(std::memory_order_acquire);
   // Quantized graphs over-fetch a little so fp32 rescoring can repair
   // rank swaps the quantized distances introduced near the boundary.
   size_t extra = quant_ != nn::kernels::Quant::kFp32 ? 8 : 0;
   std::vector<ann::ScoredId> hits =
-      st->index->Search(query.data(), k + exclude_ids.size() + extra);
+      ann_->index->Search(query.data(), k + exclude_ids.size() + extra);
 
   // Re-score survivors with the exact path's formula so similarity
   // values agree bit-for-bit with an exact scan returning the same key.
@@ -457,21 +443,12 @@ bool EmbeddingStore::UseAnnFor(size_t k, size_t num_excluded) const {
   // for a sizable fraction of the store, the scan is both faster and
   // exact.
   if ((k + num_excluded) * 4 >= n) return false;
-  if (const AnnState* st = ann_.load(std::memory_order_acquire)) {
-    return !st->stale;
-  }
-  // Lazy env-driven build: AUTODC_ANN=1 turns large stores over to the
-  // index the first time they are queried.
-  if (n < kAnnAutoMinSize || !ann::AnnEnvEnabled()) return false;
-  std::lock_guard<std::mutex> lock(AnnBuildMutex());
-  if (ann_.load(std::memory_order_acquire) == nullptr) {
-    (void)BuildAnn(ann::ConfigFromEnv());
-  }
-  const AnnState* st = ann_.load(std::memory_order_acquire);
-  return st != nullptr && !st->stale;
+  return AnnActive();
 }
 
-Status EmbeddingStore::BuildAnn(const ann::HnswConfig& config) const {
+Status EmbeddingStore::EnableAnn() { return EnableAnn(ann::HnswConfig{}); }
+
+Status EmbeddingStore::EnableAnn(const ann::HnswConfig& config) {
   if (dim_ == 0) {
     return Status::FailedPrecondition(
         "cannot build ANN index: store dimensionality unknown (empty store "
@@ -500,40 +477,27 @@ Status EmbeddingStore::BuildAnn(const ann::HnswConfig& config) const {
     }
   }
   st->index->Build(rows);
-  delete ann_.exchange(st.release(), std::memory_order_acq_rel);
+  ann_ = std::move(st);
   AUTODC_OBS_GAUGE_SET("embedding.store.bytes",
                        static_cast<int64_t>(ResidentBytes()));
   return Status::OK();
 }
 
-Status EmbeddingStore::EnableAnn() { return EnableAnn(ann::ConfigFromEnv()); }
-
-Status EmbeddingStore::EnableAnn(const ann::HnswConfig& config) {
-  return BuildAnn(config);
-}
-
 Status EmbeddingStore::RebuildAnn() {
-  const AnnState* st = ann_.load(std::memory_order_acquire);
-  if (st == nullptr) {
+  if (!ann_) {
     return Status::FailedPrecondition(
         "RebuildAnn: no ANN index was ever built for this store (call "
         "EnableAnn first)");
   }
-  if (!st->stale) return Status::OK();
-  // The stored config is copied out before BuildAnn deletes the old
-  // state on publication.
-  ann::HnswConfig config = st->config;
-  return BuildAnn(config);
+  if (!ann_->stale) return Status::OK();
+  // Copied out: EnableAnn replaces the state that holds it.
+  ann::HnswConfig config = ann_->config;
+  return EnableAnn(config);
 }
 
-void EmbeddingStore::DisableAnn() {
-  delete ann_.exchange(nullptr, std::memory_order_acq_rel);
-}
+void EmbeddingStore::DisableAnn() { ann_.reset(); }
 
-bool EmbeddingStore::AnnActive() const {
-  const AnnState* st = ann_.load(std::memory_order_acquire);
-  return st != nullptr && !st->stale;
-}
+bool EmbeddingStore::AnnActive() const { return ann_ && !ann_->stale; }
 
 std::vector<Neighbor> EmbeddingStore::NearestToVector(
     const std::vector<float>& query, size_t k,
@@ -694,7 +658,7 @@ void EmbeddingStore::CenterAndNormalize() {
       RowToF32(id, row.data());
     }
   }
-  if (AnnState* st = ann_.load(std::memory_order_acquire)) st->stale = true;
+  if (ann_) ann_->stale = true;
 }
 
 std::vector<float> EmbeddingStore::AverageOf(

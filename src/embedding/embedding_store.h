@@ -1,8 +1,8 @@
 #ifndef AUTODC_EMBEDDING_EMBEDDING_STORE_H_
 #define AUTODC_EMBEDDING_EMBEDDING_STORE_H_
 
-#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -31,35 +31,37 @@ struct Neighbor {
 /// Retrieval has two paths. The default is the exact scan: top-k
 /// selection over every row (parallelized across row blocks for large
 /// stores), bit-identical in scores to the seed implementation. Calling
-/// EnableAnn() — or setting AUTODC_ANN=1, which builds the index lazily
-/// on the first large-store query — routes NearestToVector through an
-/// HNSW graph index (src/ann) instead: approximate results, sub-linear
-/// query time. Mutating a vector that is already indexed (overwrite or
+/// EnableAnn() routes NearestToVector through an HNSW graph index
+/// (src/ann) instead: approximate results, sub-linear query time.
+/// Mutating a vector that is already indexed (overwrite or
 /// CenterAndNormalize) invalidates the index; queries fall back to the
-/// exact scan until EnableAnn() is called again (appending new keys via
+/// exact scan until RebuildAnn() or EnableAnn() (appending new keys via
 /// Add keeps the index live — they are inserted incrementally).
 ///
-/// Storage precision (DESIGN.md §11): with AUTODC_EMB_QUANT=int8 (or
-/// int8sym / bf16) — or the explicit quant constructor — rows are
-/// quantized on insert and the fp32 copies are dropped, roughly halving
-/// (bf16) or quartering (int8) row-storage bytes. Exact scans and HNSW
-/// graph hops then score on the quantized rows directly, and the top-k
-/// shortlist is re-scored in fp32 over the dequantized rows, so the
-/// similarities returned stay on the exact-path formula. Find() on a
+/// Storage precision (DESIGN.md §11): a store constructed with
+/// Quant::kInt8 (or kInt8Sym / kBf16) quantizes rows on insert and
+/// drops the fp32 copies, roughly halving (bf16) or quartering (int8)
+/// row-storage bytes. Exact scans and HNSW graph hops then score on the
+/// quantized rows directly, and the top-k shortlist is re-scored in fp32
+/// over the dequantized rows, so the similarities returned stay on the
+/// exact-path formula. Find() on a
 /// quantized store dequantizes the row on first access into a per-row
 /// cache (pointers stay stable for the store's lifetime). The default
 /// fp32 mode is bit-identical to the unquantized store.
+///
+/// Const methods are safe to call concurrently; mutators (Add,
+/// CenterAndNormalize, EnableAnn, RebuildAnn, DisableAnn) need exclusive
+/// access.
 class EmbeddingStore {
  public:
   EmbeddingStore() : EmbeddingStore(0) {}
   explicit EmbeddingStore(size_t dim)
-      : EmbeddingStore(dim, nn::kernels::QuantFromEnv()) {}
-  EmbeddingStore(size_t dim, nn::kernels::Quant quant)
-      : dim_(dim), quant_(quant) {}
+      : EmbeddingStore(dim, nn::kernels::Quant::kFp32) {}
+  EmbeddingStore(size_t dim, nn::kernels::Quant quant);
   ~EmbeddingStore();
 
-  /// Copies duplicate the vectors but not the ANN index (the copy
-  /// rebuilds on demand); moves carry the index along.
+  /// Copies duplicate the vectors but not the ANN index (call EnableAnn
+  /// on the copy); moves carry the index along.
   EmbeddingStore(const EmbeddingStore& other);
   EmbeddingStore& operator=(const EmbeddingStore& other);
   EmbeddingStore(EmbeddingStore&& other) noexcept;
@@ -122,17 +124,15 @@ class EmbeddingStore {
 
   /// Builds (or rebuilds) the HNSW index over the current contents and
   /// routes subsequent NearestToVector calls through it. The no-config
-  /// overload takes defaults + AUTODC_ANN_EF_SEARCH from the
-  /// environment.
+  /// overload uses HnswConfig's defaults.
   Status EnableAnn();
   Status EnableAnn(const ann::HnswConfig& config);
 
   /// Re-freshens a stale index in place: when an overwrite or
   /// CenterAndNormalize has invalidated the index, rebuilds it with the
   /// config it was originally built with (no-op when the index is still
-  /// fresh). Unlike the lazy AUTODC_ANN path — which only ever builds a
-  /// *first* index — this is the recovery call for long-running owners
-  /// (the serve-layer session refresh): without it a store that took one
+  /// fresh). This is the recovery call for long-running owners (the
+  /// serve-layer session refresh): without it a store that took one
   /// in-place update silently serves exact-scan latency forever.
   /// FailedPrecondition when no index was ever built.
   Status RebuildAnn();
@@ -144,7 +144,7 @@ class EmbeddingStore {
   bool AnnActive() const;
 
  private:
-  struct AnnState;  // holds the index + lazy-build lock (see .cc)
+  struct AnnState;  // holds the index, its config and staleness (see .cc)
 
   /// Exact top-k scan; `exclude_ids` are row ids, sorted ascending.
   std::vector<Neighbor> ExactNearest(
@@ -153,12 +153,8 @@ class EmbeddingStore {
   std::vector<Neighbor> AnnNearest(const std::vector<float>& query, size_t k,
                                    const std::vector<size_t>& exclude_ids)
       const;
-  /// Routes a query: lazily builds the index when AUTODC_ANN asks for
-  /// it, and decides between the ANN path and the exact fallback.
+  /// Routes a query between the ANN path and the exact fallback.
   bool UseAnnFor(size_t k, size_t num_excluded) const;
-  /// Builds and publishes a fresh index (const: the lazy env path runs
-  /// under a query; publication is atomic).
-  Status BuildAnn(const ann::HnswConfig& config) const;
 
   /// Materializes row `id` as fp32 into `out` (dim_ floats): a copy in
   /// fp32 mode, dequantization otherwise.
@@ -199,11 +195,8 @@ class EmbeddingStore {
   // place so held pointers track the latest value.
   mutable std::mutex dequant_mu_;
   mutable std::unordered_map<size_t, std::vector<float>> dequant_cache_;
-  // Mutable + atomic: the AUTODC_ANN lazy build happens under a const
-  // query, guarded by a build mutex and published with a release store,
-  // so concurrent readers either see no index (exact scan) or a fully
-  // built one — never a partial build. Owned; freed in the destructor.
-  mutable std::atomic<AnnState*> ann_{nullptr};
+  // Null until EnableAnn; only mutators write it.
+  std::unique_ptr<AnnState> ann_;
 };
 
 }  // namespace autodc::embedding

@@ -54,15 +54,12 @@ class LshBlocker {
 /// distribution, and cost grows ~n·log n instead of with bucket skew.
 /// Small right tables take an exact top-k scan instead of a graph
 /// build (same candidates, recall 1.0 against the scan by definition).
-/// The default config comes from the environment, so AUTODC_ANN_M /
-/// AUTODC_ANN_EF_* tuning and the AUTODC_EMB_QUANT low-precision path
-/// (DESIGN.md §11) apply to blocking without a code change; candidates
-/// are a recall set, so quantized graph distances need no rescoring
-/// here.
+/// A quantized `config.quant` (DESIGN.md §11) takes the low-precision
+/// path; candidates are a recall set, so quantized graph distances need
+/// no rescoring here.
 class AnnBlocker {
  public:
-  explicit AnnBlocker(size_t k = 10,
-                      const ann::HnswConfig& config = ann::ConfigFromEnv());
+  explicit AnnBlocker(size_t k = 10, const ann::HnswConfig& config = {});
 
   /// Candidate pairs: for each left row, its k nearest right rows by
   /// cosine. Queries run in parallel; output is ordered by left row

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "src/common/env.h"
-#include "src/obs/log.h"
 #include "src/obs/metrics.h"
 
 // Portable scalar kernel table + runtime dispatch. The scalar loops here
@@ -570,26 +567,6 @@ const char* QuantName(Quant q) {
       break;
   }
   return "fp32";
-}
-
-Quant ParseQuant(const char* value) {
-  std::string v = value == nullptr ? "" : value;
-  for (char& c : v) c = static_cast<char>(std::tolower(c));
-  if (v == "int8") return Quant::kInt8;
-  if (v == "int8sym") return Quant::kInt8Sym;
-  if (v == "bf16") return Quant::kBf16;
-  return Quant::kFp32;
-}
-
-Quant QuantFromEnv() {
-  std::string value = EnvString("AUTODC_EMB_QUANT");
-  Quant q = ParseQuant(value.c_str());
-  if (q == Quant::kFp32 && !value.empty() && value != "fp32") {
-    AUTODC_LOG(WARN) << "ignoring AUTODC_EMB_QUANT='" << value
-                     << "' (expected int8, int8sym, bf16, or fp32); "
-                     << "using fp32";
-  }
-  return q;
 }
 
 double DequantSqDistCombineD(double na, double nb, double dot) {

@@ -162,14 +162,6 @@ inline bool QuantIsInt8(Quant q) {
   return q == Quant::kInt8 || q == Quant::kInt8Sym;
 }
 
-/// Parses "int8" / "int8sym" / "bf16" / "fp32" (or "", "none", "off") to
-/// a mode; unrecognized values fall back to fp32.
-Quant ParseQuant(const char* value);
-
-/// Reads AUTODC_EMB_QUANT through common/env.h. Not cached — call sites
-/// are store/index construction, never a hot path.
-Quant QuantFromEnv();
-
 /// Per-row affine parameters: x ~= scale * (q - zero_point).
 struct Int8Params {
   float scale = 1.0f;

@@ -79,9 +79,7 @@ Result<std::shared_ptr<Session>> Session::Build(data::Table table,
   for (size_t i = 0; i < n; ++i) {
     AUTODC_RETURN_NOT_OK(s->store_.Add(RowKey(i), s->encoded_[i]));
   }
-  if (config.ann) {
-    AUTODC_RETURN_NOT_OK(s->store_.EnableAnn());
-  }
+  AUTODC_RETURN_NOT_OK(s->store_.EnableAnn());
   return s;
 }
 
@@ -200,13 +198,8 @@ Status Session::Refresh() {
     AUTODC_RETURN_NOT_OK(store_.Add(RowKey(i), encoded_[i]));
   }
   // The overwrites above left the ANN index stale (exact-scan
-  // fallback); recover sub-linear retrieval in place. A store that
-  // never had an index (config.ann = false) reports FailedPrecondition
-  // — that is its steady state, not a refresh failure.
-  Status rebuilt = store_.RebuildAnn();
-  if (!rebuilt.ok() && rebuilt.code() != StatusCode::kFailedPrecondition) {
-    return rebuilt;
-  }
+  // fallback); recover sub-linear retrieval in place.
+  AUTODC_RETURN_NOT_OK(store_.RebuildAnn());
   imputer_.Fit(table_);
   RecomputeColumnStats();
   return Status::OK();

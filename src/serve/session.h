@@ -32,9 +32,6 @@ struct SessionConfig {
   size_t knn_k = 5;
   double outlier_threshold = 3.0;
   uint64_t seed = 17;
-  /// Build an HNSW index over the row embeddings (kNearestRows goes
-  /// sub-linear; Refresh() exercises the stale→RebuildAnn arc).
-  bool ann = true;
 };
 
 /// One dataset's curation state, shared by every tenant whose data
@@ -58,7 +55,11 @@ class Session {
   uint64_t fingerprint() const { return fingerprint_; }
   size_t num_rows() const { return table_.num_rows(); }
   size_t encoded_dim() const { return encoder_.dim(); }
-  bool AnnActive() const { return store_.AnnActive(); }
+  /// Shared lock: Refresh() replaces the index under the exclusive one.
+  bool AnnActive() const {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    return store_.AnnActive();
+  }
 
   /// Executes one request on the unbatched path (PredictProba et al.) —
   /// the sequential oracle batched execution is held byte-identical to.

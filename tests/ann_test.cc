@@ -315,13 +315,5 @@ TEST(EmbeddingStoreAnnTest, CopyDropsIndexMoveCarriesIt) {
   EXPECT_TRUE(moved.AnnActive());
 }
 
-TEST(HnswConfigTest, EnvOverridesEfSearch) {
-  HnswConfig defaults;
-  HnswConfig cfg = ConfigFromEnv();
-  EXPECT_EQ(cfg.M, defaults.M);  // knobs unset -> defaults stand
-  // AnnEnvEnabled is just the flag probe — must not throw either way.
-  (void)AnnEnvEnabled();
-}
-
 }  // namespace
 }  // namespace autodc::ann

@@ -1,15 +1,19 @@
 // Tests for the bench regression checker (bench/check.h): metric
 // direction inference, tolerance resolution, CompareDocs pass/fail
 // classification, and the CheckDirs file driver's error paths
-// (missing results file, malformed JSON, empty baseline dir).
+// (missing results file, malformed JSON, empty baseline dir), and the
+// harness's --out writer keeping a baseline's hand-written tolerances.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench/check.h"
+#include "bench/harness.h"
 #include "src/common/json_parse.h"
 
 namespace autodc::bench {
@@ -274,6 +278,48 @@ TEST_F(CheckDirsTest, NonBaselineFilesAreIgnored) {
   WriteFile(results_dir_, "BENCH_demo.json", kSimpleDoc);
   CheckReport report = CheckDirs(base_dir_, results_dir_, CheckOptions{});
   EXPECT_TRUE(report.ok()) << FormatCheckReport(report, true);
+}
+
+// Regenerating a baseline with --out rewrites its file; a hand-written
+// "tolerances" object in the old file must survive, or every gate it
+// tightened silently falls back to the CLI's wide default.
+TEST_F(CheckDirsTest, OutKeepsTheReplacedFilesTolerances) {
+  auto run_demo = [](const std::string& dir) {
+    std::vector<std::string> args = {"bench_demo", "--repeats", "1",
+                                     "--out", dir};
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    return BenchMain(static_cast<int>(argv.size()), argv.data(),
+                     BenchSpec{"demo", "demo", "demo"}, [](Bench& b) {
+                       b.Report("r", {{"recall", 0.5}});
+                       return 0;
+                     });
+  };
+  auto read_doc = [](const std::string& dir) {
+    std::ifstream in(fs::path(dir) / "BENCH_demo.json");
+    std::stringstream text;
+    text << in.rdbuf();
+    return Parse(text.str());
+  };
+
+  WriteFile(base_dir_, "BENCH_demo.json",
+            R"({"results": [{"name": "r", "metrics": {"recall": 0.9}}],)"
+            R"( "tolerances": {"r.recall": 0.02, "x_ms": 1.5}})");
+  ASSERT_EQ(run_demo(base_dir_), 0);
+  JsonValue doc = read_doc(base_dir_);
+  const JsonValue* results = doc.Find("results");
+  ASSERT_TRUE(results != nullptr && results->array.size() == 1u);
+  EXPECT_EQ(results->array[0].Find("metrics")->Find("recall")->NumberOr(0),
+            0.5);  // the rows are the new run's
+  const JsonValue* tolerances = doc.Find("tolerances");
+  ASSERT_NE(tolerances, nullptr);
+  EXPECT_EQ(tolerances->object.size(), 2u);
+  EXPECT_EQ(tolerances->Find("r.recall")->NumberOr(0), 0.02);
+  EXPECT_EQ(tolerances->Find("x_ms")->NumberOr(0), 1.5);
+
+  // A first write has no tolerances to keep and invents none.
+  ASSERT_EQ(run_demo(results_dir_), 0);
+  EXPECT_EQ(read_doc(results_dir_).Find("tolerances"), nullptr);
 }
 
 TEST(FormatCheckReportTest, SummaryLineNamesTheVerdict) {

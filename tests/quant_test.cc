@@ -8,7 +8,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <set>
 #include <string>
@@ -285,47 +284,6 @@ TEST_F(QuantKernelsTest, GemmI8PanelMatchesReferenceAndIsBitIdentical) {
                           pb.data(), sb.data(), part.data(), 2, 4, m, krows);
   EXPECT_EQ(part[0], 9.0f);
   EXPECT_EQ(part[2 * krows], c[2 * krows]);
-}
-
-// ---- Parsing & env knobs ----------------------------------------------
-
-TEST(QuantConfigTest, ParseQuantRecognizesModes) {
-  EXPECT_EQ(k::ParseQuant("int8"), Quant::kInt8);
-  EXPECT_EQ(k::ParseQuant("INT8"), Quant::kInt8);
-  EXPECT_EQ(k::ParseQuant("int8sym"), Quant::kInt8Sym);
-  EXPECT_EQ(k::ParseQuant("bf16"), Quant::kBf16);
-  EXPECT_EQ(k::ParseQuant("BF16"), Quant::kBf16);
-  EXPECT_EQ(k::ParseQuant(""), Quant::kFp32);
-  EXPECT_EQ(k::ParseQuant("fp32"), Quant::kFp32);
-  EXPECT_EQ(k::ParseQuant("garbage"), Quant::kFp32);
-  EXPECT_EQ(k::ParseQuant(nullptr), Quant::kFp32);
-}
-
-TEST(QuantConfigTest, AnnEnvKnobsParseAndClamp) {
-  ann::HnswConfig defaults;
-  setenv("AUTODC_ANN_M", "24", 1);
-  setenv("AUTODC_ANN_EF_CONSTRUCTION", "123", 1);
-  setenv("AUTODC_ANN_EF_SEARCH", "77", 1);
-  setenv("AUTODC_EMB_QUANT", "int8", 1);
-  ann::HnswConfig cfg = ann::ConfigFromEnv();
-  EXPECT_EQ(cfg.M, 24u);
-  EXPECT_EQ(cfg.ef_construction, 123u);
-  EXPECT_EQ(cfg.ef_search, 77u);
-  EXPECT_EQ(cfg.quant, Quant::kInt8);
-  // Out-of-range values fall back to the defaults (the env.h contract:
-  // a warning, never a wedged graph).
-  setenv("AUTODC_ANN_M", "1", 1);        // below the min of 2
-  setenv("AUTODC_ANN_EF_SEARCH", "0", 1);  // below the min of 1
-  cfg = ann::ConfigFromEnv();
-  EXPECT_EQ(cfg.M, defaults.M);
-  EXPECT_EQ(cfg.ef_search, defaults.ef_search);
-  unsetenv("AUTODC_ANN_M");
-  unsetenv("AUTODC_ANN_EF_CONSTRUCTION");
-  unsetenv("AUTODC_ANN_EF_SEARCH");
-  unsetenv("AUTODC_EMB_QUANT");
-  cfg = ann::ConfigFromEnv();
-  EXPECT_EQ(cfg.M, defaults.M);
-  EXPECT_EQ(cfg.quant, Quant::kFp32);
 }
 
 // ---- Quantized HNSW ---------------------------------------------------
