@@ -154,9 +154,9 @@ int main(int argc, char** argv) {
     Timer build_i8_timer;
     index_i8.Build(rows);
     double build_i8_ms = build_i8_timer.Seconds() * 1e3;
-    // Timed loop measures the system's actual retrieval contract
-    // (EmbeddingStore::AnnNearest): over-fetch a small shortlist from
-    // the quantized graph, then re-score it in fp32 and keep the top-k.
+    // Timed loop measures the full retrieval cost of a quantized graph:
+    // over-fetch a small shortlist from it, then re-score the shortlist
+    // in fp32 and keep the top-k.
     // The rescore is k+8 dot products per query — noise next to the
     // graph walk — and it is what recovers fp32-level recall.
     const size_t kExtra = 8;

@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
 
     // Low-precision kernels (DESIGN.md §11): the exact int8 integer dot
     // and fused quantized cosine vs their fp32 counterparts above, the
-    // quantizer itself (the per-insert cost of a quantized store), and
+    // quantizer itself (the per-insert cost of a quantized index), and
     // the bf16 dot. Same A/B shape — both dispatch tables, same data.
     for (size_t n : lengths) {
       std::vector<float> a = RandomVec(n, &rng);

@@ -44,8 +44,9 @@ struct HnswConfig {
   /// distance evaluation runs on the quantized rows (int8: exact
   /// integer dot + cached per-row scale/zero-point/sum; bf16: float dot
   /// on rounded values); similarities returned by Search are then the
-  /// quantized-row cosines, and retrieval-quality consumers re-score
-  /// their top-k in fp32 (EmbeddingStore does this automatically).
+  /// quantized-row cosines. Callers that need fp32-level recall
+  /// over-fetch a small shortlist and re-score it in fp32 against their
+  /// own rows (bench_ann's int8 arm shows the pattern).
   nn::kernels::Quant quant = nn::kernels::Quant::kFp32;
 };
 

@@ -236,19 +236,6 @@ double ScalarDotBf16D(const std::uint16_t* a, const std::uint16_t* b,
   return s;
 }
 
-double ScalarCosineBf16(const std::uint16_t* a, const std::uint16_t* b,
-                        size_t n) {
-  double dot = 0.0, na = 0.0, nb = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    double av = Bf16ToF32One(a[i]), bv = Bf16ToF32One(b[i]);
-    dot += av * bv;
-    na += av * av;
-    nb += bv * bv;
-  }
-  if (na <= 0.0 || nb <= 0.0) return 0.0;
-  return dot / (std::sqrt(na) * std::sqrt(nb));
-}
-
 double ScalarSqDistBf16(const std::uint16_t* a, const std::uint16_t* b,
                         size_t n) {
   double s = 0.0;
@@ -257,25 +244,6 @@ double ScalarSqDistBf16(const std::uint16_t* a, const std::uint16_t* b,
     s += d * d;
   }
   return s;
-}
-
-void ScalarGemmI8TransBPanelF32(const std::int8_t* a,
-                                const Int8Params* a_params,
-                                const std::int32_t* a_sums,
-                                const std::int8_t* b,
-                                const Int8Params* b_params,
-                                const std::int32_t* b_sums, float* c,
-                                size_t r0, size_t r1, size_t m, size_t k) {
-  for (size_t i = r0; i < r1; ++i) {
-    const std::int8_t* arow = a + i * m;
-    float* crow = c + i * k;
-    for (size_t t = 0; t < k; ++t) {
-      std::int32_t idot = ScalarDotI8I32(arow, b + t * m, m);
-      crow[t] = static_cast<float>(
-          DequantDotD(idot, a_params[i], a_sums[i], b_params[t], b_sums[t],
-                      m));
-    }
-  }
 }
 
 // ---- Scalar level-3 ---------------------------------------------------
@@ -380,9 +348,7 @@ constexpr KernelOps kScalarOps = {
     ScalarF32ToBf16,
     ScalarBf16ToF32,
     ScalarDotBf16D,
-    ScalarCosineBf16,
     ScalarSqDistBf16,
-    ScalarGemmI8TransBPanelF32,
 };
 
 // ---- Dispatch ---------------------------------------------------------
@@ -555,20 +521,6 @@ void GemmTransBPanelF32(const float* a, const float* b, float* c, size_t r0,
 
 // ---- Low-precision public API -----------------------------------------
 
-const char* QuantName(Quant q) {
-  switch (q) {
-    case Quant::kInt8:
-      return "int8";
-    case Quant::kInt8Sym:
-      return "int8sym";
-    case Quant::kBf16:
-      return "bf16";
-    case Quant::kFp32:
-      break;
-  }
-  return "fp32";
-}
-
 double DequantSqDistCombineD(double na, double nb, double dot) {
   // One compiled instance on purpose (see the header): this TU builds
   // without -mfma, so the subtractions can never contract with the
@@ -649,25 +601,10 @@ double DotBf16D(const std::uint16_t* a, const std::uint16_t* b, size_t n) {
   AUTODC_KERNEL_COUNT(dot_bf16d, ops);
   return ops->dot_bf16d(a, b, n);
 }
-double CosineBf16(const std::uint16_t* a, const std::uint16_t* b, size_t n) {
-  const KernelOps* ops = Active();
-  AUTODC_KERNEL_COUNT(cosine_bf16, ops);
-  return ops->cosine_bf16(a, b, n);
-}
 double SqDistBf16(const std::uint16_t* a, const std::uint16_t* b, size_t n) {
   const KernelOps* ops = Active();
   AUTODC_KERNEL_COUNT(sqdist_bf16, ops);
   return ops->sqdist_bf16(a, b, n);
-}
-void GemmI8TransBPanelF32(const std::int8_t* a, const Int8Params* a_params,
-                          const std::int32_t* a_sums, const std::int8_t* b,
-                          const Int8Params* b_params,
-                          const std::int32_t* b_sums, float* c, size_t r0,
-                          size_t r1, size_t m, size_t k) {
-  const KernelOps* ops = Active();
-  AUTODC_KERNEL_COUNT(gemm_i8_tb_panel_f32, ops);
-  ops->gemm_i8_tb_panel_f32(a, a_params, a_sums, b, b_params, b_sums, c, r0,
-                            r1, m, k);
 }
 
 }  // namespace autodc::nn::kernels

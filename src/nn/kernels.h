@@ -127,8 +127,8 @@ void GemmTransBPanelF32(const float* a, const float* b, float* c, size_t r0,
                         size_t r1, size_t m, size_t k);
 
 // ---- Low-precision kernels -------------------------------------------
-// Quantized row formats used by the embedding store and the ANN index
-// (see DESIGN.md §11). Two storage modes exist below fp32:
+// Quantized row formats used by the ANN index's graph storage (see
+// DESIGN.md §11). Two storage modes exist below fp32:
 //
 //   * int8: per-row affine quantization q = clamp(round(x/scale) + zp)
 //     with q restricted to [-127, 127]. The +-127 (not -128) bound is a
@@ -148,19 +148,11 @@ void GemmTransBPanelF32(const float* a, const float* b, float* c, size_t r0,
 
 /// Storage precision of a quantized row.
 enum class Quant : std::uint8_t {
-  kFp32 = 0,   // no quantization (default everywhere)
+  kFp32 = 0,   // no quantization (the default)
   kInt8 = 1,   // per-row scale + zero-point, q in [-127, 127]
   kInt8Sym = 2,  // per-row scale only (zero-point pinned to 0)
   kBf16 = 3,   // round-to-nearest-even bfloat16
 };
-
-/// Short mode name ("fp32", "int8", "int8sym", "bf16") for logs/benches.
-const char* QuantName(Quant q);
-
-/// True for either int8 flavour.
-inline bool QuantIsInt8(Quant q) {
-  return q == Quant::kInt8 || q == Quant::kInt8Sym;
-}
 
 /// Per-row affine parameters: x ~= scale * (q - zero_point).
 struct Int8Params {
@@ -253,23 +245,8 @@ void Bf16ToF32(const std::uint16_t* x, size_t n, float* y);
 /// widened values; normal 1e-5 cross-path tolerance).
 double DotBf16D(const std::uint16_t* a, const std::uint16_t* b, size_t n);
 
-/// Cosine of two bf16 rows, fused single pass like CosineF32.
-double CosineBf16(const std::uint16_t* a, const std::uint16_t* b, size_t n);
-
 /// Squared Euclidean distance of two bf16 rows, double accumulation.
 double SqDistBf16(const std::uint16_t* a, const std::uint16_t* b, size_t n);
-
-/// Quantized analogue of GemmTransBPanelF32 for batched scoring:
-/// C rows [r0,r1) = dequantized A[r0:r1, 0:m] * B^T for quantized
-/// A {n,m}, B {k,m}, C {n,k}. a_params/a_sums index rows of A (n
-/// entries), b_params/b_sums rows of B (k entries). Assigns the output.
-/// Each element combines an exact integer dot through DequantDotD, so
-/// scalar and AVX2 outputs are bit-identical.
-void GemmI8TransBPanelF32(const std::int8_t* a, const Int8Params* a_params,
-                          const std::int32_t* a_sums, const std::int8_t* b,
-                          const Int8Params* b_params,
-                          const std::int32_t* b_sums, float* c, size_t r0,
-                          size_t r1, size_t m, size_t k);
 
 // ---- Implementation plumbing -----------------------------------------
 
@@ -311,12 +288,7 @@ struct KernelOps {
   void (*f32_to_bf16)(const float*, size_t, std::uint16_t*);
   void (*bf16_to_f32)(const std::uint16_t*, size_t, float*);
   double (*dot_bf16d)(const std::uint16_t*, const std::uint16_t*, size_t);
-  double (*cosine_bf16)(const std::uint16_t*, const std::uint16_t*, size_t);
   double (*sqdist_bf16)(const std::uint16_t*, const std::uint16_t*, size_t);
-  void (*gemm_i8_tb_panel_f32)(const std::int8_t*, const Int8Params*,
-                               const std::int32_t*, const std::int8_t*,
-                               const Int8Params*, const std::int32_t*, float*,
-                               size_t, size_t, size_t, size_t);
 };
 
 /// AVX2+FMA table, or nullptr when not compiled in. Defined in

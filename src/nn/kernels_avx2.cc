@@ -553,36 +553,6 @@ double Avx2DotBf16D(const std::uint16_t* a, const std::uint16_t* b,
   return s;
 }
 
-double Avx2CosineBf16(const std::uint16_t* a, const std::uint16_t* b,
-                      size_t n) {
-  __m256d dot_lo = _mm256_setzero_pd(), dot_hi = _mm256_setzero_pd();
-  __m256d na_lo = _mm256_setzero_pd(), na_hi = _mm256_setzero_pd();
-  __m256d nb_lo = _mm256_setzero_pd(), nb_hi = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256d alo, ahi, blo, bhi;
-    CvtPd(Bf16Load8(a + i), &alo, &ahi);
-    CvtPd(Bf16Load8(b + i), &blo, &bhi);
-    dot_lo = _mm256_fmadd_pd(alo, blo, dot_lo);
-    dot_hi = _mm256_fmadd_pd(ahi, bhi, dot_hi);
-    na_lo = _mm256_fmadd_pd(alo, alo, na_lo);
-    na_hi = _mm256_fmadd_pd(ahi, ahi, na_hi);
-    nb_lo = _mm256_fmadd_pd(blo, blo, nb_lo);
-    nb_hi = _mm256_fmadd_pd(bhi, bhi, nb_hi);
-  }
-  double dot = Hsum256d(_mm256_add_pd(dot_lo, dot_hi));
-  double na = Hsum256d(_mm256_add_pd(na_lo, na_hi));
-  double nb = Hsum256d(_mm256_add_pd(nb_lo, nb_hi));
-  for (; i < n; ++i) {
-    double av = Bf16ToFloatOne(a[i]), bv = Bf16ToFloatOne(b[i]);
-    dot += av * bv;
-    na += av * av;
-    nb += bv * bv;
-  }
-  if (na <= 0.0 || nb <= 0.0) return 0.0;
-  return dot / (std::sqrt(na) * std::sqrt(nb));
-}
-
 double Avx2SqDistBf16(const std::uint16_t* a, const std::uint16_t* b,
                       size_t n) {
   __m256d acc_lo = _mm256_setzero_pd();
@@ -603,24 +573,6 @@ double Avx2SqDistBf16(const std::uint16_t* a, const std::uint16_t* b,
     s += d * d;
   }
   return s;
-}
-
-void Avx2GemmI8TransBPanelF32(const std::int8_t* a, const Int8Params* a_params,
-                              const std::int32_t* a_sums,
-                              const std::int8_t* b,
-                              const Int8Params* b_params,
-                              const std::int32_t* b_sums, float* c, size_t r0,
-                              size_t r1, size_t m, size_t k) {
-  for (size_t i = r0; i < r1; ++i) {
-    const std::int8_t* arow = a + i * m;
-    float* crow = c + i * k;
-    for (size_t t = 0; t < k; ++t) {
-      std::int32_t idot = Avx2DotI8I32(arow, b + t * m, m);
-      crow[t] = static_cast<float>(
-          DequantDotD(idot, a_params[i], a_sums[i], b_params[t], b_sums[t],
-                      m));
-    }
-  }
 }
 
 // ---- Level-3 ----------------------------------------------------------
@@ -770,9 +722,7 @@ constexpr KernelOps kAvx2Ops = {
     Avx2F32ToBf16,
     Avx2Bf16ToF32,
     Avx2DotBf16D,
-    Avx2CosineBf16,
     Avx2SqDistBf16,
-    Avx2GemmI8TransBPanelF32,
 };
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "src/common/env.h"
 #include "src/common/json.h"
 #include "src/data/table_file.h"
 #include "src/obs/metrics.h"
@@ -64,25 +63,6 @@ double MicrosSince(std::chrono::steady_clock::time_point since,
 }
 
 }  // namespace
-
-ServeConfig ServeConfigFromEnv() {
-  ServeConfig c;
-  c.threads = EnvSizeT("AUTODC_SERVE_THREADS", c.threads, 1, 256);
-  c.queue_cap =
-      EnvSizeT("AUTODC_SERVE_QUEUE_CAP", c.queue_cap, 1, size_t{1} << 20);
-  c.batch_max = EnvSizeT("AUTODC_SERVE_BATCH_MAX", c.batch_max, 1, 4096);
-  c.batch_wait_us =
-      EnvSizeT("AUTODC_SERVE_BATCH_WAIT_US", c.batch_wait_us, 0, 10000000);
-  c.tenant_inflight_cap = EnvSizeT("AUTODC_SERVE_TENANT_CAP",
-                                   c.tenant_inflight_cap, 1, size_t{1} << 20);
-  c.session_capacity =
-      EnvSizeT("AUTODC_SERVE_SESSIONS", c.session_capacity, 1, 4096);
-  c.trace_sample =
-      EnvDouble("AUTODC_SERVE_TRACE_SAMPLE", c.trace_sample, 0.0, 1.0);
-  c.worker_span_buffer = EnvSizeT("AUTODC_SERVE_SPAN_BUFFER",
-                                  c.worker_span_buffer, 0, size_t{1} << 24);
-  return c;
-}
 
 // ---- PendingBatch ------------------------------------------------------
 

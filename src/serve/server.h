@@ -23,8 +23,8 @@
 namespace autodc::serve {
 
 /// Server shape: queue bound, micro-batch flush policy, admission caps,
-/// session cache size. ServeConfigFromEnv() reads the AUTODC_SERVE_*
-/// knobs documented in the README.
+/// session cache size. Configured in code; there is no environment
+/// layer.
 struct ServeConfig {
   /// Worker threads draining the queue. The server owns its workers
   /// (the global ThreadPool may legitimately have zero).
@@ -53,12 +53,6 @@ struct ServeConfig {
   size_t worker_span_buffer = 65536;
   SessionConfig session;
 };
-
-/// ServeConfig from AUTODC_SERVE_THREADS, AUTODC_SERVE_QUEUE_CAP,
-/// AUTODC_SERVE_BATCH_MAX, AUTODC_SERVE_BATCH_WAIT_US,
-/// AUTODC_SERVE_TENANT_CAP, AUTODC_SERVE_SESSIONS,
-/// AUTODC_SERVE_TRACE_SAMPLE, AUTODC_SERVE_SPAN_BUFFER (defaults above).
-ServeConfig ServeConfigFromEnv();
 
 /// Completion handle for one Submit/SubmitMany call: responses land
 /// positionally (response i answers request i), and Wait() blocks until
@@ -92,7 +86,6 @@ class PendingBatch {
 class CurationServer {
  public:
   explicit CurationServer(const ServeConfig& config);
-  CurationServer() : CurationServer(ServeConfigFromEnv()) {}
   ~CurationServer();
 
   CurationServer(const CurationServer&) = delete;

@@ -1,10 +1,13 @@
 // Tests for src/ann (HNSW index) and its EmbeddingStore integration:
 // recall against the exact scan, bulk/incremental equivalence, seeded
-// determinism, degenerate inputs, and the parallel build + concurrent
-// search paths the TSan leg exercises (`ctest -L ann`).
+// determinism, degenerate inputs, store copy/move semantics, and the
+// parallel build + concurrent search and lookup paths the TSan leg
+// exercises (`ctest -L ann`).
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -300,6 +303,15 @@ TEST(EmbeddingStoreAnnTest, OverwriteInvalidatesIndexAndAppendKeepsItLive) {
   EXPECT_FALSE(store.AnnActive());
 }
 
+void ExpectSameHits(const std::vector<embedding::Neighbor>& got,
+                    const std::vector<embedding::Neighbor>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].key, want[i].key) << "rank " << i;
+    EXPECT_EQ(got[i].similarity, want[i].similarity) << "rank " << i;
+  }
+}
+
 TEST(EmbeddingStoreAnnTest, CopyDropsIndexMoveCarriesIt) {
   const size_t n = 1100, dim = 8;
   auto data = ClusteredVectors(n, dim, 10, 21);
@@ -307,12 +319,82 @@ TEST(EmbeddingStoreAnnTest, CopyDropsIndexMoveCarriesIt) {
   for (size_t i = 0; i < n; ++i) {
     ASSERT_TRUE(store.Add("k" + std::to_string(i), data[i]).ok());
   }
+  auto queries = ClusteredVectors(8, dim, 10, 77);
+  auto hits_of = [&](const embedding::EmbeddingStore& s) {
+    std::vector<std::vector<embedding::Neighbor>> out;
+    for (const auto& q : queries) out.push_back(s.NearestToVector(q, 5));
+    return out;
+  };
+  auto expect_hits = [&](const embedding::EmbeddingStore& s,
+                         const std::vector<std::vector<embedding::Neighbor>>&
+                             want) {
+    auto got = hits_of(s);
+    for (size_t i = 0; i < queries.size(); ++i) ExpectSameHits(got[i], want[i]);
+  };
+  const auto exact = hits_of(store);
   ASSERT_TRUE(store.EnableAnn().ok());
+  const auto approx = hits_of(store);
+
+  // Copies take the vectors but not the index: they answer on the exact
+  // path.
   embedding::EmbeddingStore copy(store);
   EXPECT_FALSE(copy.AnnActive());
   EXPECT_EQ(copy.size(), store.size());
+  expect_hits(copy, exact);
+
+  // Copy assignment also drops the target's own previous index.
+  embedding::EmbeddingStore assigned(dim);
+  ASSERT_TRUE(assigned.Add("other", std::vector<float>(dim, 1.0f)).ok());
+  ASSERT_TRUE(assigned.EnableAnn().ok());
+  assigned = store;
+  EXPECT_FALSE(assigned.AnnActive());
+  EXPECT_EQ(assigned.size(), store.size());
+  EXPECT_FALSE(assigned.Contains("other"));
+  expect_hits(assigned, exact);
+
+  // Moves carry the index: they answer on the ANN path.
   embedding::EmbeddingStore moved(std::move(store));
   EXPECT_TRUE(moved.AnnActive());
+  expect_hits(moved, approx);
+
+  embedding::EmbeddingStore move_assigned;
+  move_assigned = std::move(moved);
+  EXPECT_TRUE(move_assigned.AnnActive());
+  EXPECT_EQ(move_assigned.size(), n);
+  expect_hits(move_assigned, approx);
+}
+
+TEST(EmbeddingStoreAnnTest, ConcurrentFindAndSearchAreRaceFree) {
+  // The TSan half of the store's "const methods are safe to call
+  // concurrently" contract: many threads look rows up while others run
+  // searches on the ANN path.
+  const size_t n = 300, dim = 16;
+  auto data = ClusteredVectors(n, dim, 10, 13);
+  embedding::EmbeddingStore store(dim);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(store.Add("k" + std::to_string(i), data[i]).ok());
+  }
+  ASSERT_TRUE(store.EnableAnn().ok());
+  auto queries = ClusteredVectors(8, dim, 4, 7);
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 200; ++i) {
+        const std::vector<float>* row =
+            store.Find("k" + std::to_string((t * 37 + i) % n));
+        if (row == nullptr || row->size() != dim) bad.fetch_add(1);
+      }
+    });
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 40; ++i) {
+        auto hits = store.NearestToVector(queries[(t + i) % queries.size()], 3);
+        if (hits.size() != 3) bad.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(bad.load(), 0);
 }
 
 }  // namespace

@@ -1,24 +1,19 @@
 // Tests for the low-precision fast path (DESIGN.md §11): int8/bf16
 // kernel agreement across dispatch paths (int8 is bit-exact, bf16 holds
 // the normal float tolerance), quantize/dequantize round-trip error
-// bounds, degenerate inputs, the quantized Gemm panel, quantized HNSW
-// recall, and the quantized EmbeddingStore (rescoring contract, Find
-// cache stability, resident-bytes ratio, concurrent reads for the TSan
-// leg — `ctest -L quant`).
-#include <atomic>
+// bounds, degenerate inputs, and quantized HNSW recall, determinism and
+// resident bytes (`ctest -L quant`).
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/ann/hnsw.h"
 #include "src/common/rng.h"
-#include "src/embedding/embedding_store.h"
 #include "src/nn/kernels.h"
 
 namespace autodc {
@@ -187,7 +182,7 @@ TEST_F(QuantKernelsTest, Bf16ConversionBitIdenticalAcrossPaths) {
   }
 }
 
-TEST_F(QuantKernelsTest, Bf16DotCosineSqDistAgreeAcrossPaths) {
+TEST_F(QuantKernelsTest, Bf16DotSqDistAgreeAcrossPaths) {
   if (!SimdActive()) GTEST_SKIP() << "no SIMD path on this host";
   Rng rng(23);
   for (size_t n : kSizes) {
@@ -198,11 +193,9 @@ TEST_F(QuantKernelsTest, Bf16DotCosineSqDistAgreeAcrossPaths) {
     k::F32ToBf16(b.data(), n, hb.data());
     SetForceScalar(true);
     double dot_s = k::DotBf16D(ha.data(), hb.data(), n);
-    double cos_s = k::CosineBf16(ha.data(), hb.data(), n);
     double sq_s = k::SqDistBf16(ha.data(), hb.data(), n);
     SetForceScalar(false);
     ExpectClose(dot_s, k::DotBf16D(ha.data(), hb.data(), n), "bf16 dot", n);
-    ExpectClose(cos_s, k::CosineBf16(ha.data(), hb.data(), n), "bf16 cos", n);
     ExpectClose(sq_s, k::SqDistBf16(ha.data(), hb.data(), n), "bf16 sq", n);
   }
 }
@@ -235,55 +228,6 @@ TEST_F(QuantKernelsTest, ZeroAndConstantRowsDegradeGracefully) {
   EXPECT_EQ(p0.zero_point, 0);
   EXPECT_EQ(k::DotI8I32(nullptr, nullptr, 0), 0);
   EXPECT_EQ(k::SumI8I32(nullptr, 0), 0);
-}
-
-// ---- Quantized Gemm panel ---------------------------------------------
-
-TEST_F(QuantKernelsTest, GemmI8PanelMatchesReferenceAndIsBitIdentical) {
-  Rng rng(29);
-  const size_t nrows = 7, krows = 5, m = 37;
-  std::vector<std::int8_t> a(nrows * m), b(krows * m);
-  std::vector<Int8Params> pa(nrows), pb(krows);
-  std::vector<std::int32_t> sa(nrows), sb(krows);
-  auto fill = [&](std::vector<std::int8_t>* q, std::vector<Int8Params>* p,
-                  std::vector<std::int32_t>* s, size_t rows) {
-    for (size_t r = 0; r < rows; ++r) {
-      std::vector<float> v = RandomVec(m, &rng);
-      (*p)[r] = k::ComputeInt8Params(v.data(), m, false);
-      k::QuantizeI8F32(v.data(), m, (*p)[r], q->data() + r * m);
-      (*s)[r] = k::SumI8I32(q->data() + r * m, m);
-    }
-  };
-  fill(&a, &pa, &sa, nrows);
-  fill(&b, &pb, &sb, krows);
-
-  std::vector<float> c(nrows * krows, -1.0f);
-  k::GemmI8TransBPanelF32(a.data(), pa.data(), sa.data(), b.data(),
-                          pb.data(), sb.data(), c.data(), 0, nrows, m,
-                          krows);
-  for (size_t r = 0; r < nrows; ++r) {
-    for (size_t j = 0; j < krows; ++j) {
-      std::int32_t idot = k::DotI8I32(a.data() + r * m, b.data() + j * m, m);
-      float want = static_cast<float>(
-          k::DequantDotD(idot, pa[r], sa[r], pb[j], sb[j], m));
-      EXPECT_EQ(c[r * krows + j], want) << r << "," << j;
-    }
-  }
-  if (SimdActive()) {
-    SetForceScalar(true);
-    std::vector<float> c_s(nrows * krows, -2.0f);
-    k::GemmI8TransBPanelF32(a.data(), pa.data(), sa.data(), b.data(),
-                            pb.data(), sb.data(), c_s.data(), 0, nrows, m,
-                            krows);
-    SetForceScalar(false);
-    EXPECT_EQ(c, c_s);  // exact integer dots -> bit-identical panels
-  }
-  // Partial panel [2, 4) leaves other rows untouched.
-  std::vector<float> part(nrows * krows, 9.0f);
-  k::GemmI8TransBPanelF32(a.data(), pa.data(), sa.data(), b.data(),
-                          pb.data(), sb.data(), part.data(), 2, 4, m, krows);
-  EXPECT_EQ(part[0], 9.0f);
-  EXPECT_EQ(part[2 * krows], c[2 * krows]);
 }
 
 // ---- Quantized HNSW ---------------------------------------------------
@@ -394,194 +338,6 @@ TEST(QuantHnswTest, Int8IndexResidentBytesWellBelowFp32) {
   // gate the whole-index ratio loosely.
   EXPECT_LT(static_cast<double>(i8.resident_bytes()),
             0.75 * static_cast<double>(f32.resident_bytes()));
-}
-
-// ---- Quantized EmbeddingStore -----------------------------------------
-
-embedding::EmbeddingStore MakeStore(Quant quant, size_t n, size_t dim,
-                                    uint64_t seed) {
-  embedding::EmbeddingStore store(dim, quant);
-  auto data = ClusteredVectors(n, dim, 10, seed);
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(store.Add("k" + std::to_string(i), data[i]).ok());
-  }
-  return store;
-}
-
-TEST(QuantStoreTest, QuantizedNearestTracksFp32) {
-  const size_t n = 400, dim = 24;
-  auto data = ClusteredVectors(n, dim, 10, 55);
-  embedding::EmbeddingStore f32(dim, Quant::kFp32);
-  embedding::EmbeddingStore i8(dim, Quant::kInt8);
-  embedding::EmbeddingStore bf16(dim, Quant::kBf16);
-  for (size_t i = 0; i < n; ++i) {
-    std::string key = "k" + std::to_string(i);
-    ASSERT_TRUE(f32.Add(key, data[i]).ok());
-    ASSERT_TRUE(i8.Add(key, data[i]).ok());
-    ASSERT_TRUE(bf16.Add(key, data[i]).ok());
-  }
-  size_t agree_i8 = 0, agree_bf16 = 0;
-  const size_t queries = 25;
-  for (size_t q = 0; q < queries; ++q) {
-    auto want = f32.NearestToVector(data[q * 3], 5);
-    auto got_i8 = i8.NearestToVector(data[q * 3], 5);
-    auto got_bf16 = bf16.NearestToVector(data[q * 3], 5);
-    ASSERT_EQ(want.size(), got_i8.size());
-    agree_i8 += want[0].key == got_i8[0].key;
-    agree_bf16 += want[0].key == got_bf16[0].key;
-    // Rescoring contract: similarities come from the fp32 formula over
-    // the dequantized row, so they sit within quantization error of the
-    // fp32 store's value for the same key.
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_NEAR(want[i].similarity, got_i8[i].similarity, 0.05);
-      EXPECT_NEAR(want[i].similarity, got_bf16[i].similarity, 0.02);
-    }
-  }
-  EXPECT_GE(agree_i8, queries - 2);
-  EXPECT_GE(agree_bf16, queries - 1);
-}
-
-TEST(QuantStoreTest, FindDequantizesAndPointersStayStableAcrossOverwrite) {
-  embedding::EmbeddingStore store(4, Quant::kInt8);
-  ASSERT_TRUE(store.Add("a", {1.0f, -2.0f, 3.0f, -4.0f}).ok());
-  const std::vector<float>* row = store.Find("a");
-  ASSERT_NE(row, nullptr);
-  ASSERT_EQ(row->size(), 4u);
-  EXPECT_NEAR((*row)[0], 1.0f, 0.05f);
-  EXPECT_NEAR((*row)[3], -4.0f, 0.05f);
-  EXPECT_EQ(store.Find("a"), row);  // cached: same pointer
-  // Grow the store (rehashes the cache's table) and overwrite the key:
-  // the held pointer stays valid and tracks the new value.
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(
-        store.Add("p" + std::to_string(i), {0.1f, 0.2f, 0.3f, 0.4f}).ok());
-    (void)store.Find("p" + std::to_string(i));
-  }
-  ASSERT_TRUE(store.Add("a", {10.0f, 20.0f, 30.0f, 40.0f}).ok());
-  EXPECT_NEAR((*row)[0], 10.0f, 0.5f);
-  EXPECT_NEAR((*row)[3], 40.0f, 0.5f);
-  EXPECT_EQ(store.Find("a"), row);
-  EXPECT_EQ(store.Find("missing"), nullptr);
-}
-
-TEST(QuantStoreTest, ResidentBytesShrinkAsAdvertised) {
-  const size_t n = 256, dim = 64;
-  auto f32 = MakeStore(Quant::kFp32, n, dim, 77);
-  auto i8 = MakeStore(Quant::kInt8, n, dim, 77);
-  auto bf16 = MakeStore(Quant::kBf16, n, dim, 77);
-  // int8 rows are 1/4 the bytes (+ params/sums), bf16 rows 1/2; the
-  // fp32 store additionally pays per-row vector headers, so the ratios
-  // have headroom.
-  EXPECT_LT(static_cast<double>(i8.ResidentBytes()),
-            0.5 * static_cast<double>(f32.ResidentBytes()));
-  EXPECT_LT(static_cast<double>(bf16.ResidentBytes()),
-            0.65 * static_cast<double>(f32.ResidentBytes()));
-  EXPECT_GT(i8.ResidentBytes(), n * dim);  // sanity: not underreporting
-}
-
-TEST(QuantStoreTest, SimilarityAnalogyAverageWorkQuantized) {
-  for (Quant quant : {Quant::kInt8, Quant::kInt8Sym, Quant::kBf16}) {
-    embedding::EmbeddingStore store(4, quant);
-    ASSERT_TRUE(store.Add("x", {1.0f, 0.0f, 0.5f, -0.25f}).ok());
-    ASSERT_TRUE(store.Add("y", {1.0f, 0.0f, 0.5f, -0.25f}).ok());
-    ASSERT_TRUE(store.Add("z", {-1.0f, 0.0f, -0.5f, 0.25f}).ok());
-    auto self = store.Similarity("x", "y");
-    ASSERT_TRUE(self.ok());
-    EXPECT_NEAR(self.ValueOrDie(), 1.0, 0.01);
-    auto anti = store.Similarity("x", "z");
-    ASSERT_TRUE(anti.ok());
-    EXPECT_NEAR(anti.ValueOrDie(), -1.0, 0.01);
-    EXPECT_FALSE(store.Similarity("x", "missing").ok());
-
-    auto analogy = store.Analogy("x", "y", "z", 1);
-    ASSERT_TRUE(analogy.ok());  // x:y :: z:? — z maps to itself's twin
-    auto avg = store.AverageOf({"x", "z", "missing"});
-    ASSERT_EQ(avg.size(), 4u);
-    EXPECT_NEAR(avg[0], 0.0f, 0.02f);  // x and z cancel
-
-    auto nearest = store.Nearest("x", 1);
-    ASSERT_TRUE(nearest.ok());
-    EXPECT_EQ(nearest.ValueOrDie()[0].key, "y");
-  }
-}
-
-TEST(QuantStoreTest, CenterAndNormalizeRequantizes) {
-  const size_t n = 50, dim = 16;
-  auto store = MakeStore(Quant::kInt8, n, dim, 31);
-  const std::vector<float>* row = store.Find("k0");
-  ASSERT_NE(row, nullptr);
-  store.CenterAndNormalize();
-  // Rows are unit-norm after centering (up to quantization error), and
-  // cached Find pointers track the new geometry.
-  double norm = 0.0;
-  for (float v : *row) norm += static_cast<double>(v) * v;
-  EXPECT_NEAR(std::sqrt(norm), 1.0, 0.02);
-}
-
-TEST(QuantStoreTest, AnnPathMatchesExactTopHitQuantized) {
-  const size_t n = 500, dim = 24;
-  auto store = MakeStore(Quant::kInt8, n, dim, 91);
-  auto data = ClusteredVectors(8, dim, 4, 1234);  // fresh queries
-  std::vector<std::vector<embedding::Neighbor>> exact;
-  for (const auto& q : data) exact.push_back(store.NearestToVector(q, 5));
-  ASSERT_TRUE(store.EnableAnn().ok());
-  EXPECT_TRUE(store.AnnActive());
-  size_t agree = 0;
-  for (size_t i = 0; i < data.size(); ++i) {
-    auto ann = store.NearestToVector(data[i], 5);
-    ASSERT_FALSE(ann.empty());
-    agree += ann[0].key == exact[i][0].key;
-    // Both paths rescore in fp32, so when they return the same key the
-    // similarity matches bit-for-bit.
-    if (ann[0].key == exact[i][0].key) {
-      EXPECT_EQ(ann[0].similarity, exact[i][0].similarity);
-    }
-  }
-  EXPECT_GE(agree, data.size() - 1);
-}
-
-TEST(QuantStoreTest, ConcurrentFindAndSearchAreRaceFree) {
-  // The TSan half of the quant label: many threads hammer the dequant
-  // cache (insert + lookup) while others run quantized searches.
-  const size_t n = 300, dim = 16;
-  auto store = MakeStore(Quant::kInt8, n, dim, 13);
-  ASSERT_TRUE(store.EnableAnn().ok());
-  auto queries = ClusteredVectors(8, dim, 4, 7);
-  std::atomic<int> bad{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 200; ++i) {
-        const std::vector<float>* row =
-            store.Find("k" + std::to_string((t * 37 + i) % n));
-        if (row == nullptr || row->size() != dim) bad.fetch_add(1);
-      }
-    });
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 40; ++i) {
-        auto hits = store.NearestToVector(queries[(t + i) % queries.size()], 3);
-        if (hits.size() != 3) bad.fetch_add(1);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(bad.load(), 0);
-}
-
-TEST(QuantStoreTest, CopyAndMovePreserveQuantizedContents) {
-  auto store = MakeStore(Quant::kBf16, 20, 8, 44);
-  embedding::EmbeddingStore copy(store);
-  EXPECT_EQ(copy.quant(), Quant::kBf16);
-  EXPECT_EQ(copy.size(), store.size());
-  auto a = store.Similarity("k0", "k1");
-  auto b = copy.Similarity("k0", "k1");
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.ValueOrDie(), b.ValueOrDie());
-  embedding::EmbeddingStore moved(std::move(copy));
-  auto c = moved.Similarity("k0", "k1");
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(a.ValueOrDie(), c.ValueOrDie());
 }
 
 }  // namespace
